@@ -39,7 +39,6 @@ from .check import (
     shrink_trace,
 )
 from .config import (
-    BatchConfig,
     CheckConfig,
     FaultConfig,
     FrontendConfig,
@@ -128,7 +127,6 @@ __all__ = [
     "TimingConfig",
     "FaultConfig",
     "CheckConfig",
-    "BatchConfig",
     "FrontendConfig",
     "SCHEMES",
     # substrate

@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..config import (
-    BatchConfig,
     CheckConfig,
     FaultConfig,
     FrontendConfig,
@@ -111,10 +110,11 @@ def sim_cfg_from_dict(doc: dict) -> SimConfig:
     doc["observability"] = ObservabilityConfig(**doc["observability"])
     doc["faults"] = FaultConfig(**doc["faults"])
     doc["check"] = CheckConfig(**doc.get("check") or {})
-    # dumps from before the frontend/batch blocks existed rebuild as
-    # defaults
+    # dumps from before the frontend block existed rebuild as defaults
     doc["frontend"] = FrontendConfig(**doc.get("frontend") or {})
-    doc["batch"] = BatchConfig(**doc.get("batch") or {})
+    # the removed batch-replay block never changed a result: drop it so
+    # older dumps still replay
+    doc.pop("batch", None)
     cfg = SimConfig(**doc)
     cfg.validate()
     return cfg

@@ -107,11 +107,11 @@ class AcrossFTL(BaseFTL):
         #: absent means AIdx = -1)
         self.aidx_of_lpn: dict[int, int] = {}
         #: flat mirror of ``aidx_of_lpn`` (-1 = no area), same raw-buffer
-        #: + zero-copy-view layout as the PMT: the batched read kernel
-        #: screens whole request runs for area overlap with one
-        #: vectorised gather instead of a dict probe per LPN.  Kept in
-        #: lockstep at every mutation site of ``aidx_of_lpn``
-        #: (tests assert the two stay equal).
+        #: + zero-copy-view layout as the PMT: the fused aging kernel
+        #: screens each write for area overlap with an array probe
+        #: instead of a dict lookup per LPN.  Kept in lockstep at every
+        #: mutation site of ``aidx_of_lpn`` (check_invariants asserts
+        #: the two stay equal).
         self._aidx = array("q", [-1]) * self.logical_pages
         self.aidx = np.frombuffer(self._aidx, dtype=np.int64)
         self.across_stats = AcrossStats()
@@ -180,8 +180,8 @@ class AcrossFTL(BaseFTL):
         return finish
 
     # ------------------------------------------------------------------
-    def write_run(self, offsets, sizes, target: int) -> int:
-        """Fused aging-write kernel (SimConfig.batch).
+    def write_run(self, offsets, sizes, target: int | None = None) -> int:
+        """Fused aging-write kernel.
 
         An aging write whose touched pages carry no across area —
         screened through the flat ``_aidx`` mirror before any state is
@@ -198,6 +198,8 @@ class AcrossFTL(BaseFTL):
         """
         if self._write_run_fallback():
             return super().write_run(offsets, sizes, target)
+        if target is None:
+            target = float("inf")
         from ..errors import FlashProtocolError
         from ..flash.array import PAGE_FREE, PAGE_INVALID, PAGE_VALID
         from ..ftl.meta import DataPageMeta
@@ -210,7 +212,6 @@ class AcrossFTL(BaseFTL):
         pmt = self._pmt
         pmt_mask = self._pmt_mask
         cache = self._pmt_cache
-        unlimited = cache.unlimited
         epp = cache.entries_per_page
         cached = cache._cached
         move_to_end = cached.move_to_end
@@ -260,19 +261,16 @@ class AcrossFTL(BaseFTL):
                 page_lo = lpn * spp
                 rel_lo = offset - page_lo if offset > page_lo else 0
                 rel_hi = end - page_lo if end < page_lo + spp else spp
-                # --- mapping-cache touch (dirty, untimed, hit inlined)
-                if unlimited:
+                # --- mapping-cache touch (dirty, untimed, hit inlined;
+                # an unlimited cache never caches and takes access())
+                tvpn = lpn // epp
+                if tvpn in cached:
                     c.dram_accesses += 1
                     cache.hits += 1
+                    move_to_end(tvpn)
+                    cached[tvpn] = True
                 else:
-                    tvpn = lpn // epp
-                    if tvpn in cached:
-                        c.dram_accesses += 1
-                        cache.hits += 1
-                        move_to_end(tvpn)
-                        cached[tvpn] = True
-                    else:
-                        access(lpn, 0.0, dirty=True, timed=False)
+                    access(lpn, 0.0, dirty=True, timed=False)
                 # --- _write_data_page, untimed / no payload / no obs
                 new_mask = ((1 << (rel_hi - rel_lo)) - 1) << rel_lo
                 old_ppn = pmt[lpn]

@@ -187,6 +187,12 @@ class FleetService:
         cfg = self._device_for(payload)
         sim_cfg = _sim_cfg_from(payload.get("sim"))
         schemes = payload.get("schemes", list(SCHEMES))
+        if not isinstance(schemes, list) or not all(
+            isinstance(s, str) for s in schemes
+        ):
+            raise ConfigError(
+                f"'schemes' must be a list of scheme names, got {schemes!r}"
+            )
         for s in schemes:
             if s not in SCHEMES:
                 raise ConfigError(
@@ -241,7 +247,12 @@ class FleetService:
                 "fleet requests derive qos_streams from the shard plan; "
                 "do not set it in 'sim'"
             )
-        fleet = FleetConfig.from_dict(dict(payload.get("fleet") or {}))
+        fleet_doc = payload.get("fleet", {})
+        if not isinstance(fleet_doc, dict):
+            raise ConfigError(
+                f"'fleet' must be a JSON object, got {fleet_doc!r}"
+            )
+        fleet = FleetConfig.from_dict(dict(fleet_doc))
         plans = compose_shards(fleet, cfg)
         specs = []
         for plan in plans:
@@ -309,9 +320,19 @@ def _json_response(status: int, doc: Any) -> bytes:
     )
 
 
+class _HttpError(Exception):
+    """A request the HTTP layer answers with ``status`` before any
+    routing (malformed headers, oversized body)."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
 async def _read_request(reader: asyncio.StreamReader):
-    """Parse one request: (method, path, body) or None on a bad/empty
-    stream."""
+    """Parse one request: (method, path, body) or None on an empty or
+    unparseable request line; raises :class:`_HttpError` on a bad
+    ``Content-Length``."""
     try:
         line = await reader.readline()
     except (ConnectionError, asyncio.LimitOverrunError):
@@ -327,12 +348,16 @@ async def _read_request(reader: asyncio.StreamReader):
             break
         name, _, value = hdr.decode("latin-1").partition(":")
         if name.strip().lower() == "content-length":
-            try:
-                length = int(value.strip())
-            except ValueError:
-                return None
+            value = value.strip()
+            # digits only: int() would also take "-1", "+5" and "1_0"
+            if not (value.isascii() and value.isdigit()):
+                raise _HttpError(
+                    400, "Content-Length must be a non-negative integer, "
+                    f"got {value!r}"
+                )
+            length = int(value)
     if length > _MAX_BODY:
-        return method, path, None  # signal 413
+        raise _HttpError(413, "request body too large")
     body = await reader.readexactly(length) if length else b""
     return method, path, body
 
@@ -346,15 +371,17 @@ def make_http_handler(service: FleetService, pool: ThreadPoolExecutor):
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            req = await _read_request(reader)
+            try:
+                req = await _read_request(reader)
+            except _HttpError as exc:
+                writer.write(_json_response(
+                    exc.status, _request_error(str(exc))
+                ))
+                await writer.drain()
+                return
             if req is None:
                 return
             method, path, body = req
-            if body is None:
-                writer.write(_json_response(
-                    413, _request_error("request body too large")
-                ))
-                return
             if method == "GET" and path == "/healthz":
                 writer.write(_json_response(200, {"ok": True}))
             elif method == "GET" and path == "/stats":

@@ -439,23 +439,22 @@ class BaseFTL(ABC):
         return t if t > finish else finish
 
     # ------------------------------------------------------------------
-    # batched aging writes (SimConfig.batch)
+    # aging writes
     # ------------------------------------------------------------------
-    def write_run(self, offsets, sizes, target: int) -> int:
+    def write_run(self, offsets, sizes, target: int | None = None) -> int:
         """Service a run of untimed aging writes (already clamped to the
         logical space by the engine), stopping once the AGING write
-        counter reaches ``target``.  Returns how many requests of the
-        run were consumed.
+        counter reaches ``target`` (never, when ``target`` is None).
+        Returns how many requests of the run were consumed.  Every
+        aging style of the engine writes through here.
 
-        This generic implementation is a scalar loop over :meth:`write`
-        — bit-identical to the engine's legacy per-request aging loop by
-        construction.  Schemes may override it with a fused kernel, but
-        any override must (a) produce exactly the same device state,
-        counters and mapping tables, and (b) fall back here whenever a
-        precondition of its fast path does not hold (payload tracking,
-        observability, timed mode).  The batch-vs-legacy report-digest
-        tests and the ``repro check --batch`` differential leg enforce
-        the equivalence.
+        This generic implementation is a scalar loop over :meth:`write`,
+        the reference the fused per-scheme overrides are tested
+        against.  Any override must (a) produce exactly the same device
+        state, counters and mapping tables, and (b) fall back here
+        whenever a precondition of its fast path does not hold (payload
+        tracking, observability, timed mode).
+        ``tests/test_write_run.py`` enforces the equivalence.
         """
         counters = self.counters
         write = self.write
@@ -464,7 +463,7 @@ class BaseFTL(ABC):
         for offset, size in zip(offsets, sizes):
             write(offset, size, 0.0, None)
             consumed += 1
-            if counters.writes[aging] >= target:
+            if target is not None and counters.writes[aging] >= target:
                 break
         return consumed
 

@@ -233,19 +233,21 @@ class MRSMFTL(BaseFTL):
         return finish
 
     # ------------------------------------------------------------------
-    def write_run(self, offsets, sizes, target: int) -> int:
-        """Fused aging-write kernel (SimConfig.batch): region split,
-        tree-depth-memoised cache touches, region RMW reads, slot kills,
-        R-slot packing and GC checks inlined with the untimed /
-        payload-free / unobserved branches resolved.
+    def write_run(self, offsets, sizes, target: int | None = None) -> int:
+        """Fused aging-write kernel: region split, tree-depth-memoised
+        cache touches, region RMW reads, slot kills, R-slot packing and
+        GC checks inlined with the untimed / payload-free / unobserved
+        branches resolved.
 
         Bit-identical to the generic scalar loop over :meth:`write`
-        (enforced by the batch-vs-legacy digest tests and
-        ``repro check --batch``); delegates to :meth:`BaseFTL.write_run`
-        whenever a fast-path precondition fails.
+        (enforced by ``tests/test_write_run.py``); delegates to
+        :meth:`BaseFTL.write_run` whenever a fast-path precondition
+        fails.
         """
         if self._write_run_fallback():
             return super().write_run(offsets, sizes, target)
+        if target is None:
+            target = float("inf")
         from ..errors import FlashProtocolError
         from ..flash.array import PAGE_FREE, PAGE_INVALID, PAGE_VALID
 
@@ -579,10 +581,15 @@ class MRSMFTL(BaseFTL):
         rs = self.region_sectors
         found: Optional[dict] = {} if self.track_payload else None
         ppn_sectors: dict[int, list[int]] = {}
-        for key, rel_lo, rel_hi in self._split_regions(offset, size):
+        pieces = self._split_regions(offset, size)
+        # every cache access first: a miss can evict a dirty translation
+        # page, whose write-back may trigger GC and relocate a data page
+        # — a PPN collected before that access would then be stale
+        for key, _rel_lo, _rel_hi in pieces:
             t = access(key, now, dirty=False, timed=timed)
             if t > finish:
                 finish = t
+        for key, rel_lo, rel_hi in pieces:
             present = mask_get(key, 0) & (
                 ((1 << (rel_hi - rel_lo)) - 1) << rel_lo
             )

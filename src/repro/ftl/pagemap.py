@@ -64,9 +64,8 @@ class PageMapFTL(BaseFTL):
         return finish
 
     # ------------------------------------------------------------------
-    def write_run(self, offsets, sizes, target: int) -> int:
-        """Fused aging-write kernel (SimConfig.batch): the per-piece
-        pipeline of :meth:`write` — PMT-cache touch, RMW read, old-page
+    def write_run(self, offsets, sizes, target: int | None = None) -> int:
+        """Fused aging-write kernel: the per-piece pipeline of :meth:`write` — PMT-cache touch, RMW read, old-page
         invalidate, allocate, program, GC check — inlined into one loop
         with the untimed/payload-free/unobserved branches resolved.
 
@@ -78,6 +77,8 @@ class PageMapFTL(BaseFTL):
         """
         if self._write_run_fallback():
             return super().write_run(offsets, sizes, target)
+        if target is None:
+            target = float("inf")
         from ..errors import FlashProtocolError
         from ..flash.array import PAGE_FREE, PAGE_INVALID, PAGE_VALID
         from .meta import DataPageMeta
@@ -91,7 +92,6 @@ class PageMapFTL(BaseFTL):
         pmt = self._pmt
         pmt_mask = self._pmt_mask
         cache = self._pmt_cache
-        unlimited = cache.unlimited
         epp = cache.entries_per_page
         cached = cache._cached
         move_to_end = cached.move_to_end
@@ -125,19 +125,16 @@ class PageMapFTL(BaseFTL):
                 page_lo = lpn * spp
                 rel_lo = offset - page_lo if offset > page_lo else 0
                 rel_hi = end - page_lo if end < page_lo + spp else spp
-                # --- mapping-cache touch (dirty, untimed, hit inlined)
-                if unlimited:
+                # --- mapping-cache touch (dirty, untimed, hit inlined;
+                # an unlimited cache never caches and takes access())
+                tvpn = lpn // epp
+                if tvpn in cached:
                     c.dram_accesses += 1
                     cache.hits += 1
+                    move_to_end(tvpn)
+                    cached[tvpn] = True
                 else:
-                    tvpn = lpn // epp
-                    if tvpn in cached:
-                        c.dram_accesses += 1
-                        cache.hits += 1
-                        move_to_end(tvpn)
-                        cached[tvpn] = True
-                    else:
-                        access(lpn, 0.0, dirty=True, timed=False)
+                    access(lpn, 0.0, dirty=True, timed=False)
                 if not rmw:
                     pmt_mask[lpn] = 0
                 # --- _write_data_page, untimed / no payload / no obs

@@ -146,11 +146,6 @@ class Simulator:
         #: event-driven frontend scheduler (SimConfig.frontend); bound
         #: during _run_frontend, None on the legacy sequential path
         self._frontend = None
-        #: vector read-run kernel (SimConfig.batch); bound during
-        #: _run_batch when the global eligibility screens pass.  Its
-        #: statistics stay Simulator attributes — report extras feed
-        #: pinned digests and must not change shape with batch mode.
-        self._batch_kernel = None
         if self.sim_cfg.observability.enabled:
             self.obs = Observability(self.sim_cfg.observability)
             self._bus = self.obs.bus
@@ -259,19 +254,44 @@ class Simulator:
         if used <= 0.0 or self._aged:
             self._aged = True
             return
+        if self.sim_cfg.aging_style == "vdi":
+            self._untimed(self._age_vdi, used)
+        else:
+            self._untimed(self._age_aligned, used, self.sim_cfg.aged_valid)
+
+    def age_with_trace(self, trace: Trace) -> None:
+        """Pre-condition by replaying a user-supplied trace's writes
+        untimed — the paper's §4.1 warm-up with the actual
+        additional-02...LUN6 file, for users who have it."""
+        if self._aged:
+            return
+        self._untimed(lambda: self.ftl.write_run(*self._clamped_writes(trace)))
+
+    def _untimed(self, fill, *args) -> None:
+        """Run an aging fill with the FTL untimed and the bus silenced
+        (device aging must not flood the trace), then mark the device
+        aged.  Every fill hands its write stream to the scheme's
+        :meth:`~repro.ftl.base.BaseFTL.write_run`."""
         self.ftl.aging = True
         if self._bus is not None:
             self._detach_obs()
         try:
-            if self.sim_cfg.aging_style == "vdi":
-                self._age_vdi(used)
-            else:
-                self._age_aligned(used, self.sim_cfg.aged_valid)
+            fill(*args)
         finally:
             self.ftl.aging = False
             if self._bus is not None:
                 self._attach_obs()
         self._aged = True
+
+    def _clamped_writes(self, trace: Trace) -> tuple[list, list]:
+        """The trace's writes as (offsets, sizes) lists, clamped to the
+        logical space; writes left empty by the clamp are dropped."""
+        limit = self.ftl.logical_pages * self.spp
+        w = trace.ops == OP_WRITE
+        offs = trace.offsets[w]
+        ends = np.minimum(offs + trace.sizes[w], limit)
+        keep = (ends > offs) & (offs >= 0)
+        return offs[keep].tolist(), (ends - offs)[keep].tolist()
 
     def _age_aligned(self, used: float, valid: float) -> None:
         rng = np.random.default_rng(self.sim_cfg.seed)
@@ -281,45 +301,18 @@ class Simulator:
         n_total = int(used * total_pages)
         victims = rng.permutation(logical_pages)[:n_valid]
         spp = self.spp
-        write = self.ftl.write
-        for lpn in victims.tolist():
-            write(lpn * spp, spp, 0.0, None)
+        write_run = self.ftl.write_run
+        write_run((victims * spp).tolist(), [spp] * n_valid)
         n_over = max(0, n_total - n_valid)
         if n_over and n_valid:
             over = rng.choice(victims, size=n_over, replace=True)
-            for lpn in over.tolist():
-                write(lpn * spp, spp, 0.0, None)
-
-    def age_with_trace(self, trace: Trace) -> None:
-        """Pre-condition by replaying a user-supplied trace's writes
-        untimed — the paper's §4.1 warm-up with the actual
-        additional-02...LUN6 file, for users who have it."""
-        if self._aged:
-            return
-        self.ftl.aging = True
-        if self._bus is not None:
-            self._detach_obs()
-        try:
-            limit = self.ftl.logical_pages * self.spp
-            write = self.ftl.write
-            for op, offset, size, _t in trace:
-                if op != OP_WRITE:
-                    continue
-                end = min(offset + size, limit)
-                if end > offset >= 0:
-                    write(offset, end - offset, 0.0, None)
-        finally:
-            self.ftl.aging = False
-            if self._bus is not None:
-                self._attach_obs()
-        self._aged = True
+            write_run((over * spp).tolist(), [spp] * n_over)
 
     def _age_vdi(self, used: float) -> None:
         """Replay synthetic VDI writes until ``used`` of the physical
         pages have been programmed (GC may run; erased space counts as
         used work done, mirroring a real warm-up replay)."""
         from ..metrics.counters import OpKind
-        from ..traces.model import OP_WRITE as _W
         from ..traces.synthetic import SyntheticSpec, generate_trace
 
         target = int(used * self.ftl.geom.num_pages)
@@ -335,9 +328,6 @@ class Simulator:
         # naively replaying the full ratio on a 64x smaller device would
         # leave every third page shadowed by a stale area and flood the
         # measured run with one-time collision rollbacks).
-        batch_cfg = self.sim_cfg.batch
-        use_run = batch_cfg.enabled and batch_cfg.aging
-        limit = self.ftl.logical_pages * self.spp
         while counters.writes[OpKind.AGING] < target:
             spec = SyntheticSpec(
                 name="aging",
@@ -351,32 +341,10 @@ class Simulator:
                 seed=seed,
             )
             seed += 1
-            trace = generate_trace(spec)
-            if use_run:
-                # batch aging: clamp/filter the write stream vectorised
-                # and hand the whole chunk to the scheme's fused
-                # write_run kernel (bit-identical to the loop below —
-                # it stops on the same target check after each request)
-                w = trace.ops == _W
-                offs = trace.offsets[w]
-                ends = np.minimum(offs + trace.sizes[w], limit)
-                keep = ends > offs
-                self.ftl.write_run(
-                    offs[keep].tolist(),
-                    (ends - offs)[keep].tolist(),
-                    target,
-                )
-                continue
-            write = self.ftl.write
-            for op, offset, size, _t in trace:
-                if op != _W:
-                    continue
-                end = min(offset + size, limit)
-                if end <= offset:
-                    continue
-                write(offset, end - offset, 0.0, None)
-                if counters.writes[OpKind.AGING] >= target:
-                    break
+            # write_run stops on the target check after each request
+            self.ftl.write_run(
+                *self._clamped_writes(generate_trace(spec)), target
+            )
 
     # ------------------------------------------------------------------
     # single request
@@ -599,99 +567,6 @@ class Simulator:
         return last
 
     # ------------------------------------------------------------------
-    # batched columnar replay loop (SimConfig.batch)
-    # ------------------------------------------------------------------
-    def _run_batch(self, trace: Trace) -> float:
-        """Replay through the batch execution layer: decode the trace
-        into columnar segments, absorb hazard-free runs of eligible
-        reads into the vector kernel, and service everything else —
-        writes, TRIMs, screened-out reads — through the scalar
-        :meth:`process` after flushing the pending run.
-
-        The request *semantics* are the legacy loop's: one request at a
-        time in trace order, same counters, same latencies, same
-        digests.  Only the execution strategy changes — that is the
-        batch layer's whole contract, and the ``batch``
-        differential-replay leg (``repro check --batch``) plus the
-        golden-hotpath fixture pin it.
-        """
-        from ..traces.columnar import decode_segments
-        from .kernels import BatchReadKernel
-
-        process = self.process
-        checker = self.checker
-        qd = self.sim_cfg.queue_depth
-        completions = self._completions
-        outstanding: list[float] = []
-        kernel = BatchReadKernel.build(self)
-        self._batch_kernel = kernel
-        progress = self.sim_cfg.progress
-        snap_every = (
-            self.sim_cfg.snapshot_every if self.series is not None else 0
-        )
-        last = 0.0
-        n = len(trace)
-        i = 0
-        loop_t0 = _time.perf_counter()
-        next_prog = loop_t0 + _PROGRESS_EVERY_S
-        prog_width = 0
-        for seg in decode_segments(
-            trace, max_batch=self.sim_cfg.batch.max_batch, spp=self.spp
-        ):
-            ops = seg.ops.tolist()
-            offsets = seg.offsets.tolist()
-            sizes = seg.sizes.tolist()
-            times = seg.times.tolist()
-            if kernel is not None:
-                kernel.begin_segment(seg)
-            for k in range(len(ops)):
-                op = ops[k]
-                ts = times[k]
-                if not (
-                    kernel is not None
-                    and op == OP_READ
-                    and kernel.try_read(k, offsets[k], sizes[k], ts, i)
-                ):
-                    if kernel is not None:
-                        kernel.flush()
-                    start = None
-                    takes_slot = op != OP_TRIM
-                    if takes_slot and qd is not None and len(outstanding) >= qd:
-                        start = max(ts, heapq.heappop(outstanding))
-                    process(op, offsets[k], sizes[k], ts, start)
-                    if takes_slot and qd is not None:
-                        heapq.heappush(outstanding, completions[-1])
-                    if checker is not None:
-                        checker.maybe_check(i + 1)
-                last = ts
-                i += 1
-                if snap_every and i % snap_every == 0:
-                    if kernel is not None:
-                        kernel.flush()
-                    self.series.append(
-                        Snapshot.capture(i, ts, self.ftl.counters)
-                    )
-                if progress:
-                    wall = _time.perf_counter()
-                    if wall >= next_prog:
-                        # completed *requests*, not batches: absorbed-
-                        # but-unflushed reads are still in flight
-                        done = i - (kernel.pending() if kernel else 0)
-                        prog_width = _print_progress(
-                            trace.name, done, n, wall - loop_t0,
-                            prev_width=prog_width,
-                        )
-                        next_prog = wall + _PROGRESS_EVERY_S
-        if kernel is not None:
-            kernel.flush()
-        if progress:
-            _print_progress(
-                trace.name, n, n, _time.perf_counter() - loop_t0,
-                final=True, prev_width=prog_width,
-            )
-        return last
-
-    # ------------------------------------------------------------------
     # discrete-event frontend replay loop (SimConfig.frontend)
     # ------------------------------------------------------------------
     def _run_frontend(self, trace: Trace) -> float:
@@ -735,7 +610,6 @@ class Simulator:
             issue=push_issue,
             on_stall=self._fe_stall if bus is not None else None,
             checker=self.checker,
-            batch=self.sim_cfg.batch.enabled,
         )
         self._frontend = fe
         #: out-of-order completions buffered until every earlier-arrived
@@ -1066,8 +940,6 @@ class Simulator:
         self.age_device()
         if self.sim_cfg.frontend.enabled:
             last = self._run_frontend(trace)
-        elif self.sim_cfg.batch.enabled:
-            last = self._run_batch(trace)
         else:
             last = self._run_legacy(trace)
         self.ftl.flush_metadata(last)

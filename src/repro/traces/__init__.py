@@ -2,12 +2,6 @@
 MSR Cambridge), calibrated synthetic VDI workload generators, and the
 characterisation statistics behind Table 2 and Figs. 2/13."""
 
-from .columnar import (
-    ColumnarSegment,
-    decode_segments,
-    request_digest,
-    request_digest_scalar,
-)
 from .lint import Finding, has_errors, lint_trace
 from .model import OP_READ, OP_TRIM, OP_WRITE, Trace
 from .stats import TraceStats, across_page_ratio, characterize
@@ -24,10 +18,6 @@ __all__ = [
     "OP_READ",
     "OP_WRITE",
     "OP_TRIM",
-    "ColumnarSegment",
-    "decode_segments",
-    "request_digest",
-    "request_digest_scalar",
     "Phase",
     "WorkloadSpec",
     "compile_workload",

@@ -169,3 +169,29 @@ class TestCounterexampleFiles:
         res = replay_counterexample(path)
         assert res.ok, res.summary()
         assert set(res.read_digests) == {"ftl", "mrsm"}
+
+    def test_replay_dump_with_removed_batch_block(self, tmp_path):
+        """Dumps written while SimConfig still had a ``batch`` block
+        (batched replay, since removed) load and replay: the block
+        never changed a result, so it is dropped."""
+        import json
+
+        path = dump_counterexample(
+            tmp_path / "old.json",
+            trace=make_trace(30),
+            cfg=SSDConfig.tiny(),
+            sim_cfg=SimConfig(),
+            failures=[],
+            schemes=("ftl", "across"),
+        )
+        doc = json.loads(path.read_text())
+        doc["sim_cfg"]["batch"] = {
+            "enabled": True, "max_batch": 512, "aging": True,
+        }
+        path.write_text(json.dumps(doc))
+        _, _, sim_cfg, _ = load_counterexample(path)
+        assert sim_cfg == SimConfig()
+        res = replay_counterexample(path)
+        assert res.ok, res.summary()
+        assert set(res.read_digests) == {"ftl", "across"}
+

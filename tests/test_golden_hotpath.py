@@ -69,22 +69,3 @@ def test_report_matches_golden(sc, golden):
     import hashlib
 
     assert report_digest(report) == hashlib.sha256(blob).hexdigest()
-
-
-@pytest.mark.parametrize("sc", scenarios(), ids=lambda sc: sc.name)
-def test_batch_report_matches_golden(sc, golden):
-    """The batch execution layer (``SimConfig.batch``) must reproduce
-    the same golden reports bit for bit — same fixture, different
-    execution strategy."""
-    got = canonical_report_dict(sc.run(batch=True))
-    want = golden[sc.name]
-    if got != want:
-        diff = [
-            f"{key}: golden={want.get(key)!r} got={got.get(key)!r}"
-            for key in sorted(set(want) | set(got))
-            if want.get(key) != got.get(key)
-        ]
-        pytest.fail(
-            f"{sc.name} (batch): output drifted from the golden fixture "
-            f"in {len(diff)} key(s):\n  " + "\n  ".join(diff[:20])
-        )

@@ -117,6 +117,34 @@ class TestReads:
         t, found = ftl.read(512, 16, 1.0)
         assert t == 1.0 and found == {}
 
+    def test_read_survives_gc_during_its_cache_walk(self):
+        """Regression: a read's mapping-cache miss can evict a dirty
+        translation page whose write-back triggers GC and relocates a
+        data page the read wants.  Collecting PPNs while still walking
+        the cache read the stale PPN (``FlashProtocolError: read of
+        non-valid PPN 1194`` on this workload)."""
+        from repro.config import SimConfig, SSDConfig
+        from repro.experiments.workloads import lun_specs
+        from repro.ftl import make_ftl
+        from repro.sim.engine import Simulator
+        from repro.traces.synthetic import generate_trace
+        from repro.units import KIB
+
+        cfg = SSDConfig.tiny().replace(write_buffer_bytes=512 * KIB)
+        spec = next(
+            s for s in lun_specs(
+                cfg, scale=0.025, footprint_fraction=0.8,
+                seed_base=2125004105,
+            )
+            if s.name == "lun1"
+        )
+        trace = generate_trace(spec)
+        sim = Simulator(make_ftl("mrsm", FlashService(cfg)), SimConfig())
+        report = sim.run(trace)
+        assert report.requests == len(trace)
+        assert report.counters.erases > 0  # GC ran during the replay
+        sim.ftl.check_invariants()
+
 
 class TestGCRelocation:
     def test_compaction_of_live_slots(self, ftl_pair):

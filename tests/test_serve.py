@@ -2,6 +2,7 @@
 cache loop, and the HTTP server."""
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -72,6 +73,10 @@ class TestSweepRequests:
         ({"kind": "fleet", "fleet": {"shards": 0}}, "shards"),
         ({"kind": "fleet",
           "sim": {"qos_streams": [8]}}, "shard plan"),
+        ({"kind": "fleet", "fleet": []}, "'fleet' must be a JSON object"),
+        ({"kind": "fleet", "fleet": None}, "'fleet' must be a JSON object"),
+        ({"kind": "sweep", "schemes": "ftl"}, "'schemes' must be a list"),
+        ({"kind": "sweep", "schemes": [1]}, "'schemes' must be a list"),
     ])
     def test_bad_requests_answered_not_raised(self, service, req, frag):
         doc = service.handle_request(req)
@@ -169,3 +174,22 @@ class TestHttpServer:
             urllib.request.urlopen(req, timeout=30)
         assert ei.value.code == 400
         assert "unknown request kind" in json.load(ei.value)["error"]
+
+    @pytest.mark.parametrize("length", ["-1", "abc", "1.5", "+3", ""])
+    def test_bad_content_length_400(self, server, length):
+        """A malformed Content-Length is answered, not a dropped
+        connection."""
+        host, port = server.removeprefix("http://").rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            sock.sendall(
+                b"POST /simulate HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n"
+            )
+            data = b""
+            while chunk := sock.recv(65536):
+                data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        doc = json.loads(body)
+        assert doc["ok"] is False
+        assert "Content-Length" in doc["error"]
